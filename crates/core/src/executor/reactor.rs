@@ -23,8 +23,7 @@
 //!   it is requeued behind its siblings, the same cooperative budget the
 //!   worker pool uses.
 //!
-//! Sleep/wake uses the same Dekker-style handshake as the SPSC ring: a
-//! parking worker bumps the sleeper count (SeqCst RMW), re-checks every
+//! Sleep/wake uses a Dekker-style handshake: a parking worker bumps the sleeper count (SeqCst RMW), re-checks every
 //! queue, and only then waits; a producer makes its enqueue visible, runs
 //! a SeqCst fence, and reads the sleeper count — so either the producer
 //! sees the sleeper and takes the sleep lock to notify, or the parker

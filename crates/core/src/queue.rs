@@ -25,7 +25,6 @@
 
 use crate::overload::PriorityClass;
 use crate::pool::{MessagePool, Payload};
-use crate::spsc::SpscRing;
 use crate::telemetry::{DropReason, QueueProbe};
 use mobigate_mcl::ast::{ChannelCategory, ChannelKind};
 use mobigate_mime::MimeType;
@@ -34,10 +33,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Slot count of the SPSC fast-path ring (bounds *messages*; the byte
-/// budget still comes from [`QueueConfig::capacity_bytes`]).
-const SPSC_SLOTS: usize = 256;
 
 /// Wakes streamlet worker threads when any of their input queues receives a
 /// message (or a lifecycle change occurs).
@@ -113,8 +108,8 @@ impl Notifier {
     pub fn disarm(&self) {
         // A swap (RMW), not a store: reading the producer's `swap(true)`
         // synchronizes-with it, so everything the producer published
-        // before a coalesced notify (e.g. a lock-free ring push) is
-        // visible to the re-check that follows this disarm.
+        // before a coalesced notify is visible to the re-check that
+        // follows this disarm.
         self.armed.swap(false, Ordering::SeqCst);
     }
 
@@ -178,10 +173,6 @@ pub struct QueueConfig {
     pub full_wait: Duration,
     /// The MIME type the channel carries (runtime type check on post).
     pub ty: MimeType,
-    /// Enables the lock-free SPSC fast path: while the queue has at most
-    /// one producer and one consumer attached, posts go through a bounded
-    /// ring instead of the monitor mutex. Ignored for sync channels.
-    pub spsc: bool,
 }
 
 impl Default for QueueConfig {
@@ -193,7 +184,6 @@ impl Default for QueueConfig {
             capacity_bytes: 100 * 1024,
             full_wait: Duration::from_millis(50),
             ty: MimeType::any(),
-            spsc: true,
         }
     }
 }
@@ -208,7 +198,6 @@ impl QueueConfig {
             capacity_bytes: (spec.buffer_kb as usize) * 1024,
             full_wait: Duration::from_millis(50),
             ty: spec.ty.clone(),
-            spsc: true,
         }
     }
 }
@@ -274,10 +263,26 @@ impl QueueStats {
 
 #[derive(Debug)]
 struct QState {
-    queue: VecDeque<Payload>,
+    /// Pending payloads with the buffered length each was admitted at, so
+    /// pops and peeks never look the length up in the pool again.
+    queue: VecDeque<(Payload, usize)>,
     bytes: usize,
     source_open: bool,
     sink_open: bool,
+}
+
+impl QState {
+    /// Pops the oldest pending payload.
+    fn pop(&mut self) -> Option<Payload> {
+        let (p, len) = self.queue.pop_front()?;
+        self.bytes = self.bytes.saturating_sub(len);
+        Some(p)
+    }
+
+    /// Buffered length of the oldest pending payload.
+    fn front_len(&self) -> Option<usize> {
+        self.queue.front().map(|&(_, len)| len)
+    }
 }
 
 /// The channel object. Cheaply shareable via `Arc`.
@@ -313,20 +318,6 @@ pub struct MessageQueue {
     /// lock: lets the wake fan-out skip the read lock entirely in the
     /// common no-parked-producer case.
     space_listener_count: AtomicUsize,
-    /// SPSC fast-path ring, allocated once for async channels with
-    /// [`QueueConfig::spsc`] set. Consumers *always* drain it before the
-    /// mutex queue, so FIFO holds across activation changes.
-    ring: Option<SpscRing>,
-    /// True while fast-path posts are allowed: at most one producer and
-    /// one consumer, sink open, and both buffers were empty at the last
-    /// (re)activation point. Maintained under the state lock; read
-    /// lock-free by producers (`SeqCst` both sides, so a post that
-    /// causally follows a deactivating attach never sees a stale `true`).
-    spsc_active: AtomicBool,
-    /// Consumers blocked in [`MessageQueue::fetch`]: a fast-path post must
-    /// briefly take the state lock to wake them (Dekker-style handshake —
-    /// the consumer registers *before* its final emptiness re-check).
-    sleepers: AtomicUsize,
 }
 
 impl MessageQueue {
@@ -342,8 +333,6 @@ impl MessageQueue {
         pool: Arc<MessagePool>,
         probe: Option<QueueProbe>,
     ) -> Arc<Self> {
-        let ring = (cfg.spsc && cfg.kind == ChannelKind::Async).then(|| SpscRing::new(SPSC_SLOTS));
-        let spsc_active = ring.is_some();
         Arc::new(MessageQueue {
             cfg,
             state: Mutex::new(QState {
@@ -368,9 +357,6 @@ impl MessageQueue {
             listeners: RwLock::new(Vec::new()),
             space_listeners: RwLock::new(Vec::new()),
             space_listener_count: AtomicUsize::new(0),
-            ring,
-            spsc_active: AtomicBool::new(spsc_active),
-            sleepers: AtomicUsize::new(0),
         })
     }
 
@@ -397,28 +383,6 @@ impl MessageQueue {
         if let Some(p) = &self.probe {
             p.on_admit(len);
         }
-    }
-
-    /// Re-evaluates SPSC eligibility. Called under the state lock at every
-    /// attachment change. Deactivation is immediate; (re)activation
-    /// additionally requires both buffers empty, so ring entries always
-    /// predate mutex-queue entries and the drain order (ring first)
-    /// preserves FIFO.
-    fn refresh_spsc(&self, st: &QState) {
-        let Some(ring) = &self.ring else { return };
-        let eligible = self.pcount.load(Ordering::SeqCst) <= 1
-            && self.ccount.load(Ordering::SeqCst) <= 1
-            && st.sink_open;
-        if !eligible {
-            self.spsc_active.store(false, Ordering::SeqCst);
-        } else if st.queue.is_empty() && ring.is_empty() {
-            self.spsc_active.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// True when the SPSC fast path is currently switched in.
-    pub fn spsc_active(&self) -> bool {
-        self.spsc_active.load(Ordering::SeqCst)
     }
 
     /// The queue's configuration.
@@ -479,24 +443,16 @@ impl MessageQueue {
     }
 
     /// Attaches a producer (paper `incr_pCount`); reopens the source side.
-    /// A second producer immediately deactivates the SPSC fast path.
     pub fn attach_source(&self) {
         self.pcount.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        st.source_open = true;
-        self.refresh_spsc(&st);
-        drop(st);
+        self.state.lock().source_open = true;
         self.cv.notify_all();
     }
 
     /// Attaches a consumer (paper `incr_cCount`); reopens the sink side.
-    /// A second consumer immediately deactivates the SPSC fast path.
     pub fn attach_sink(&self) {
         self.ccount.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        st.sink_open = true;
-        self.refresh_spsc(&st);
-        drop(st);
+        self.state.lock().sink_open = true;
         self.cv.notify_all();
         self.wake_listeners();
     }
@@ -532,7 +488,6 @@ impl MessageQueue {
                 ChannelCategory::BK | ChannelCategory::S | ChannelCategory::KK => {}
             }
         }
-        self.refresh_spsc(&st);
         drop(st);
         if prev == 1 {
             self.cv.notify_all();
@@ -569,7 +524,6 @@ impl MessageQueue {
                 ChannelCategory::KB | ChannelCategory::S | ChannelCategory::KK => {}
             }
         }
-        self.refresh_spsc(&st);
         drop(st);
         if prev == 1 {
             self.cv.notify_all();
@@ -581,19 +535,11 @@ impl MessageQueue {
     }
 
     fn drop_pending(&self, st: &mut QState) {
-        let mut n = st.queue.len() as u64;
-        for p in st.queue.drain(..) {
+        let n = st.queue.len() as u64;
+        for (p, _) in st.queue.drain(..) {
             self.pool.discard(p);
         }
         st.bytes = 0;
-        // The fast-path ring is pending buffer too; the state lock we hold
-        // serializes us with every other popper.
-        if let Some(ring) = &self.ring {
-            while let Some((p, _)) = ring.pop() {
-                self.pool.discard(p);
-                n += 1;
-            }
-        }
         if n > 0 {
             self.charge_drop(DropReason::Break, n);
         }
@@ -605,32 +551,8 @@ impl MessageQueue {
         }
     }
 
-    /// Wakes a consumer after a lock-free ring post: listeners always (the
-    /// armed flag makes redundant notifies one atomic swap), and blocked
-    /// `fetch` callers only when the sleeper count says someone is waiting
-    /// — taking the state lock then is what makes the handshake lossless.
-    fn wake_after_ring_post(&self) {
-        // Store-buffer hazard: the ring push ends in Release stores, and a
-        // plain SeqCst *load* of `sleepers` may still be satisfied before
-        // those stores drain — letting the producer see 0 sleepers while
-        // the consumer (who registered and then saw an empty ring) sleeps.
-        // The fence orders the push before the read, pairing with the
-        // consumer's SeqCst register-then-recheck in `fetch`.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.state.lock());
-            self.cv.notify_all();
-        }
-        self.wake_listeners();
-    }
-
     /// Posts a payload (Figure 6-9 semantics). Sync channels block until
     /// the message is taken or `T` elapses (rendezvous-or-drop).
-    ///
-    /// While the SPSC specialization is active (one producer, one
-    /// consumer) the post is lock-free: the payload goes straight into the
-    /// ring, and only consumers blocked inside [`MessageQueue::fetch`]
-    /// cost a lock acquisition to wake.
     pub fn post(&self, payload: Payload) -> PostResult {
         let len = payload.buffered_len(&self.pool);
         let t0 = self
@@ -638,63 +560,20 @@ impl MessageQueue {
             .as_ref()
             .filter(|p| p.sample_timing())
             .map(|_| Instant::now());
-        let res = match self.try_ring_post(payload, len) {
-            Ok(()) => PostResult::Posted,
-            Err(payload) => self.post_locked(payload, len),
-        };
+        let res = self.post_locked(payload, len);
         if let (Some(p), Some(t0)) = (&self.probe, t0) {
             p.on_post_ns(t0.elapsed().as_nanos() as u64);
         }
         res
     }
 
-    /// Lock-free fast path; hands the payload back whenever it does not
-    /// apply (SPSC inactive, full ring, or over the byte budget — the
-    /// locked path then waits out Figure 6-9's `T`).
-    fn try_ring_post(&self, payload: Payload, len: usize) -> Result<(), Payload> {
-        if !self.spsc_active.load(Ordering::SeqCst) {
-            return Err(payload);
-        }
-        let Some(ring) = &self.ring else {
-            return Err(payload);
-        };
-        // Byte-budget admission mirrors the mutex path: an empty buffer
-        // always admits one (possibly oversized) message. The check and
-        // the push are not atomic together, but overshoot needs a second
-        // producer racing a stale activation flag — transient and bounded
-        // by one message.
-        if !ring.is_empty() && ring.bytes() + len > self.cfg.capacity_bytes {
-            return Err(payload);
-        }
-        ring.push(payload, len)?;
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.probe {
-            p.on_admit(len);
-            p.on_ring_depth(ring.len());
-        }
-        self.wake_after_ring_post();
-        Ok(())
-    }
-
-    /// Admits `payload` into whichever buffer is current — the ring while
-    /// SPSC is active, the mutex queue otherwise — if the byte budget
-    /// allows (an empty channel admits one oversized message). Caller
-    /// holds the state lock.
+    /// Admits `payload` if the byte budget allows (an empty channel admits
+    /// one oversized message). Caller holds the state lock.
     fn try_admit(&self, st: &mut QState, payload: Payload, len: usize) -> Result<(), Payload> {
-        let ring_bytes = self.ring.as_ref().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.as_ref().is_none_or(SpscRing::is_empty);
-        let empty = st.queue.is_empty() && ring_empty;
-        if !empty && st.bytes + ring_bytes + len > self.cfg.capacity_bytes {
+        if !st.queue.is_empty() && st.bytes + len > self.cfg.capacity_bytes {
             return Err(payload);
         }
-        if self.spsc_active.load(Ordering::SeqCst) {
-            if let Some(ring) = &self.ring {
-                // Ring slots can fill before the byte budget does; the
-                // caller then waits for the consumer like any full queue.
-                return ring.push(payload, len);
-            }
-        }
-        st.queue.push_back(payload);
+        st.queue.push_back((payload, len));
         st.bytes += len;
         Ok(())
     }
@@ -767,7 +646,7 @@ impl MessageQueue {
                     self.charge_drop(DropReason::Closed, 1);
                     return PostResult::Closed;
                 }
-                st.queue.push_back(payload);
+                st.queue.push_back((payload, len));
                 st.bytes += len;
                 self.posted.fetch_add(1, Ordering::Relaxed);
                 self.cv.notify_all();
@@ -776,7 +655,7 @@ impl MessageQueue {
                 while !st.queue.is_empty() {
                     if self.cv.wait_until(&mut st, deadline).timed_out() {
                         // Consumer never came: withdraw the message.
-                        if let Some(p) = st.queue.pop_front() {
+                        if let Some((p, _)) = st.queue.pop_front() {
                             st.bytes = st.bytes.saturating_sub(len);
                             drop(st);
                             self.pool.discard(p);
@@ -799,9 +678,8 @@ impl MessageQueue {
     /// one Figure 6-9 wait budget `T` across the run. Per-message byte
     /// accounting and drop-on-full semantics are identical to calling
     /// [`MessageQueue::post`] once per payload; sync (zero-length)
-    /// channels rendezvous per message and SPSC-active channels post
-    /// lock-free per message, so both simply delegate. Returns one
-    /// `PostResult` per payload, in order.
+    /// channels rendezvous per message, so they simply delegate. Returns
+    /// one `PostResult` per payload, in order.
     pub fn post_all(&self, mut payloads: Vec<Payload>) -> Vec<PostResult> {
         let mut results = Vec::with_capacity(payloads.len());
         self.post_run(&mut payloads, |r| results.push(r));
@@ -820,7 +698,7 @@ impl MessageQueue {
         if payloads.is_empty() {
             return;
         }
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
+        if self.cfg.kind == ChannelKind::Sync {
             // Per-message delegation records its own post timings.
             for p in payloads.drain(..) {
                 record(self.post(p));
@@ -921,10 +799,6 @@ impl MessageQueue {
     /// otherwise deadlock with every worker blocked inside a post.
     pub fn post_nowait(&self, payload: Payload) -> Result<PostResult, Payload> {
         let len = payload.buffered_len(&self.pool);
-        let payload = match self.try_ring_post(payload, len) {
-            Ok(()) => return Ok(PostResult::Posted),
-            Err(p) => p,
-        };
         let mut st = self.state.lock();
         if !st.sink_open {
             drop(st);
@@ -936,7 +810,7 @@ impl MessageQueue {
             if !st.queue.is_empty() {
                 return Err(payload);
             }
-            st.queue.push_back(payload);
+            st.queue.push_back((payload, len));
             st.bytes += len;
             self.posted.fetch_add(1, Ordering::Relaxed);
             self.probe_admit(len);
@@ -967,10 +841,9 @@ impl MessageQueue {
         if payloads.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
+        if self.cfg.kind == ChannelKind::Sync {
             // Per-message delegation: a rendezvous slot admits at most one
-            // payload (the rest go back to the caller untouched), and the
-            // SPSC ring path is lock-free per message anyway.
+            // payload (the rest go back to the caller untouched).
             let mut results = Vec::new();
             let mut iter = payloads.into_iter();
             for payload in iter.by_ref() {
@@ -1035,7 +908,7 @@ impl MessageQueue {
         // payloads front-first without shifting or reallocating; the
         // (rare) refused tail pays one more reverse to restore order.
         payloads.reverse();
-        if self.cfg.kind == ChannelKind::Sync || self.spsc_active.load(Ordering::SeqCst) {
+        if self.cfg.kind == ChannelKind::Sync {
             while let Some(payload) = payloads.pop() {
                 match self.post_nowait(payload) {
                     Ok(_) => handled += 1,
@@ -1097,33 +970,23 @@ impl MessageQueue {
     /// event from the metrics→event bridge) and operator hooks call this
     /// to trade old data for headroom instead of stalling producers.
     ///
-    /// Selection is **priority-aware** over the mutex queue: lowest
-    /// [`PriorityClass`] first (bulk `image/*`/`video/*`/`audio/*` before
-    /// interactive `text/*`/`application/*`), oldest within a class. SPSC
-    /// ring entries have no selective removal and always predate the
-    /// mutex queue's, so they shed first in plain FIFO order — build
-    /// shed-managed queues with [`QueueConfig::spsc`] off to get the full
-    /// priority policy.
+    /// Selection is **priority-aware**: lowest [`PriorityClass`] first
+    /// (bulk `image/*`/`video/*`/`audio/*` before interactive
+    /// `text/*`/`application/*`), oldest within a class.
     pub fn shed_oldest(&self, max_n: usize) -> usize {
         if max_n == 0 {
             return 0;
         }
         let mut st = self.state.lock();
         let mut n = 0usize;
-        if let Some(ring) = &self.ring {
-            while n < max_n {
-                let Some((p, _)) = ring.pop() else {
-                    break;
-                };
-                self.pool.discard(p);
-                n += 1;
-            }
-        }
-        if n < max_n && !st.queue.is_empty() {
-            let classes: Vec<PriorityClass> =
-                st.queue.iter().map(|p| self.payload_class(p)).collect();
+        if !st.queue.is_empty() {
+            let classes: Vec<PriorityClass> = st
+                .queue
+                .iter()
+                .map(|(p, _)| self.payload_class(p))
+                .collect();
             let mut shed = vec![false; classes.len()];
-            let mut remaining = max_n - n;
+            let mut remaining = max_n;
             for class in [
                 PriorityClass::Bulk,
                 PriorityClass::Normal,
@@ -1143,13 +1006,13 @@ impl MessageQueue {
                 }
             }
             let old = std::mem::take(&mut st.queue);
-            for (i, p) in old.into_iter().enumerate() {
+            for (i, (p, len)) in old.into_iter().enumerate() {
                 if shed[i] {
-                    st.bytes = st.bytes.saturating_sub(p.buffered_len(&self.pool));
+                    st.bytes = st.bytes.saturating_sub(len);
                     self.pool.discard(p);
                     n += 1;
                 } else {
-                    st.queue.push_back(p);
+                    st.queue.push_back((p, len));
                 }
             }
         }
@@ -1205,12 +1068,7 @@ impl MessageQueue {
             // the space wakeup).
             return st.queue.is_empty();
         }
-        let ring_bytes = self.ring.as_ref().map_or(0, SpscRing::bytes);
-        let ring_empty = self.ring.as_ref().is_none_or(SpscRing::is_empty);
-        if st.queue.is_empty() && ring_empty {
-            return true;
-        }
-        st.bytes + ring_bytes + len <= self.cfg.capacity_bytes
+        st.queue.is_empty() || st.bytes + len <= self.cfg.capacity_bytes
     }
 
     /// True for sync (zero-length, rendezvous) channels.
@@ -1218,37 +1076,10 @@ impl MessageQueue {
         self.cfg.kind == ChannelKind::Sync
     }
 
-    /// Pops the oldest pending payload: ring first (entries there always
-    /// predate mutex-queue entries — the SPSC path only activates on an
-    /// empty channel), then the mutex queue. The ring manages its own byte
-    /// counter; only mutex-queue pops adjust `st.bytes`. Caller holds the
-    /// state lock, which serializes every popper.
-    fn pop_one(&self, st: &mut QState) -> Option<Payload> {
-        if let Some(ring) = &self.ring {
-            if let Some((p, _)) = ring.pop() {
-                return Some(p);
-            }
-        }
-        let p = st.queue.pop_front()?;
-        st.bytes = st.bytes.saturating_sub(p.buffered_len(&self.pool));
-        Some(p)
-    }
-
-    /// Buffered length of the oldest pending payload. Caller holds the
-    /// state lock.
-    fn peek_front_len(&self, st: &QState) -> Option<usize> {
-        if let Some(ring) = &self.ring {
-            if let Some(len) = ring.peek_len() {
-                return Some(len);
-            }
-        }
-        st.queue.front().map(|p| p.buffered_len(&self.pool))
-    }
-
     /// Non-blocking fetch.
     pub fn try_fetch(&self) -> FetchResult {
         let mut st = self.state.lock();
-        if let Some(p) = self.pop_one(&mut st) {
+        if let Some(p) = st.pop() {
             self.fetched.fetch_add(1, Ordering::Relaxed);
             if let Some(pr) = &self.probe {
                 pr.on_fetch(1);
@@ -1270,7 +1101,7 @@ impl MessageQueue {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if let Some(p) = self.pop_one(&mut st) {
+            if let Some(p) = st.pop() {
                 self.fetched.fetch_add(1, Ordering::Relaxed);
                 if let Some(pr) = &self.probe {
                     pr.on_fetch(1);
@@ -1283,18 +1114,7 @@ impl MessageQueue {
             if !st.source_open && self.pcount() == 0 {
                 return FetchResult::Disconnected;
             }
-            // Dekker handshake with the lock-free producer: register as a
-            // sleeper, then re-check the ring. The producer pushes first
-            // and then reads `sleepers`, so it either sees our increment
-            // (and grabs the lock to notify) or we see its payload here.
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.ring.as_ref().is_some_and(|r| !r.is_empty()) {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let timed_out = self.cv.wait_until(&mut st, deadline).timed_out();
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if timed_out && st.queue.is_empty() && self.ring.as_ref().is_none_or(|r| r.is_empty()) {
+            if self.cv.wait_until(&mut st, deadline).timed_out() && st.queue.is_empty() {
                 return FetchResult::Empty;
             }
         }
@@ -1324,13 +1144,13 @@ impl MessageQueue {
         let mut taken = 0usize;
         let mut bytes = 0usize;
         while taken < max_n {
-            let Some(next) = self.peek_front_len(&st) else {
+            let Some(next) = st.front_len() else {
                 break;
             };
             if taken != 0 && bytes.saturating_add(next) > max_bytes {
                 break;
             }
-            let Some(p) = self.pop_one(&mut st) else {
+            let Some(p) = st.pop() else {
                 break;
             };
             bytes = bytes.saturating_add(next);
@@ -1351,20 +1171,17 @@ impl MessageQueue {
 
     /// Number of pending messages.
     pub fn len(&self) -> usize {
-        let st = self.state.lock();
-        st.queue.len() + self.ring.as_ref().map_or(0, |r| r.len())
+        self.state.lock().queue.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        let st = self.state.lock();
-        st.queue.is_empty() && self.ring.as_ref().is_none_or(|r| r.is_empty())
+        self.state.lock().queue.is_empty()
     }
 
     /// Bytes currently buffered.
     pub fn buffered_bytes(&self) -> usize {
-        let st = self.state.lock();
-        st.bytes + self.ring.as_ref().map_or(0, |r| r.bytes())
+        self.state.lock().bytes
     }
 
     /// Statistics snapshot.
@@ -1793,11 +1610,8 @@ mod tests {
 
     #[test]
     fn shed_oldest_sheds_lowest_priority_first() {
-        // spsc off: the mutex queue holds everything, so the priority
-        // policy applies to every pending message.
         let (q, pool) = setup(QueueConfig {
             capacity_bytes: 1 << 20,
-            spsc: false,
             ..Default::default()
         });
         let post = |top: &str, body: &str| {
@@ -1834,7 +1648,6 @@ mod tests {
     fn shed_oldest_partial_within_class_keeps_order_and_bytes() {
         let (q, pool) = setup(QueueConfig {
             capacity_bytes: 1 << 20,
-            spsc: false,
             ..Default::default()
         });
         for i in 0..3 {

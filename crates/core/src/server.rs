@@ -112,8 +112,7 @@ pub struct ServerConfig {
     /// Streamlet supervision (panic isolation is always on; this governs
     /// restarts, quarantine, and the dead-letter queue).
     pub supervision: SupervisionConfig,
-    /// Hot-path batching: per-wake drain ceiling and the SPSC channel
-    /// fast path.
+    /// Hot-path batching: how many messages a streamlet drains per wake.
     pub batching: BatchConfig,
     /// Chain fusion: statically collapse maximal runs of fusable streamlets
     /// into single execution units at deploy time, with event-driven

@@ -49,16 +49,11 @@ pub struct BatchConfig {
     /// Maximum messages a streamlet drains per wake (1 = the paper's
     /// per-message cadence; `process_batch` only engages above 1).
     pub batch_max: usize,
-    /// Enables the lock-free SPSC ring fast path on 1:1 async channels.
-    pub spsc: bool,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            batch_max: 16,
-            spsc: true,
-        }
+        BatchConfig { batch_max: 16 }
     }
 }
 
@@ -266,19 +261,12 @@ impl RunningStream {
             .as_ref()
             .map(|t| t.probe_for(session.as_str()));
 
-        // Priority-aware shedding needs selective removal, which the SPSC
-        // ring cannot do (FIFO pop only): with shedding enabled the
-        // channels stay on the mutex queue so `shed_oldest` can pick
-        // lowest-priority victims instead of whatever is oldest in the ring.
-        let spsc = deps.batching.spsc && !deps.overload.shed_on();
-
         let mut channels: HashMap<String, Arc<MessageQueue>> = HashMap::new();
         for row in &table.channels {
             if interior.contains(row.name.as_str()) {
                 continue;
             }
-            let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-            cfg.spsc = spsc;
+            let cfg = QueueConfig::from_spec(&row.name, &row.spec);
             channels.insert(
                 row.name.clone(),
                 MessageQueue::with_probe(cfg, deps.msg_pool.clone(), tprobe.clone()),
@@ -293,7 +281,6 @@ impl RunningStream {
                 capacity_bytes: 8 << 20,
                 full_wait: Duration::from_millis(500),
                 ty: ty.clone(),
-                spsc,
                 ..Default::default()
             };
             ingress.push((
@@ -306,7 +293,6 @@ impl RunningStream {
                 name: "__egress".into(),
                 capacity_bytes: 8 << 20,
                 full_wait: Duration::from_millis(500),
-                spsc,
                 ..Default::default()
             },
             deps.msg_pool.clone(),
@@ -662,9 +648,8 @@ impl RunningStream {
             if !q.is_empty() || stats.dropped_total() > 0 {
                 let _ = writeln!(
                     out,
-                    "channel {name}: len={} spsc={} dropped={}",
+                    "channel {name}: len={} dropped={}",
                     q.len(),
-                    q.spsc_active(),
                     stats.dropped_total()
                 );
             }
@@ -1172,25 +1157,7 @@ impl RunningStream {
                 name: channel.to_string(),
             })?;
         let t = Instant::now();
-        // A port that was exported at deploy time (unsatisfied, §5.1.4) is
-        // satisfied by this connection: retire its ingress/egress binding so
-        // traffic is not duplicated onto the stream boundary.
-        if from_h
-            .output_bindings()
-            .iter()
-            .any(|(p, c)| *p == from.1 && c == "__egress")
-        {
-            let _ = from_h.detach_out(&from.1, "__egress");
-            stats.channel_ops += 1;
-        }
-        if let Some((_, ingress_chan)) = to_h
-            .input_bindings()
-            .into_iter()
-            .find(|(p, c)| *p == to.1 && c.starts_with("__ingress/"))
-        {
-            let _ = to_h.detach_in(&to.1, &ingress_chan);
-            stats.channel_ops += 1;
-        }
+        retire_boundary_bindings((&from_h, &from.1), (&to_h, &to.1), stats);
         from_h.attach_out(&from.1, &q);
         to_h.attach_in(&to.1, &q);
         stats.channel_ops += 2;
@@ -1287,6 +1254,7 @@ impl RunningStream {
         // Steps 3-5: rewire through channel m and a fresh channel n.
         let t_c = Instant::now();
         a.detach_out(&from.1, &row.channel)?;
+        retire_boundary_bindings((&c_handle, &c_out), (&c_handle, &c_in), stats);
         c_handle.attach_out(&c_out, &m);
         let n_name = loop {
             let candidate = format!("__reconf{}", inner.reconf_chan_counter);
@@ -1632,8 +1600,7 @@ impl RunningStream {
                 continue;
             }
             let t = Instant::now();
-            let mut cfg = QueueConfig::from_spec(&row.name, &row.spec);
-            cfg.spsc = self.deps.batching.spsc && !self.deps.overload.shed_on();
+            let cfg = QueueConfig::from_spec(&row.name, &row.spec);
             inner.channels.insert(
                 row.name.clone(),
                 MessageQueue::with_probe(cfg, self.deps.msg_pool.clone(), self.probe.clone()),
@@ -1839,6 +1806,33 @@ impl Drop for RunningStream {
     fn drop(&mut self) {
         // Best-effort teardown so worker threads never outlive the stream.
         self.shutdown();
+    }
+}
+
+/// A port exported at deploy time (unsatisfied, §5.1.4) is satisfied once
+/// reconfiguration wires it to a channel: retires the output port's
+/// `__egress` binding and the input port's `__ingress/` binding, so traffic
+/// is not duplicated onto the stream boundary.
+fn retire_boundary_bindings(
+    (out_h, out_port): (&StreamletHandle, &str),
+    (in_h, in_port): (&StreamletHandle, &str),
+    stats: &mut ReconfigStats,
+) {
+    if out_h
+        .output_bindings()
+        .iter()
+        .any(|(p, c)| p == out_port && c == "__egress")
+    {
+        let _ = out_h.detach_out(out_port, "__egress");
+        stats.channel_ops += 1;
+    }
+    if let Some((_, ingress_chan)) = in_h
+        .input_bindings()
+        .into_iter()
+        .find(|(p, c)| p == in_port && c.starts_with("__ingress/"))
+    {
+        let _ = in_h.detach_in(in_port, &ingress_chan);
+        stats.channel_ops += 1;
     }
 }
 

@@ -217,14 +217,6 @@ impl QueueProbe {
         self.stream.post_ns.record(ns);
     }
 
-    /// Ring occupancy observed right after a lock-free push (sampled).
-    #[inline]
-    pub fn on_ring_depth(&self, depth: usize) {
-        if self.sample_timing() {
-            self.stream.ring_depth.record(depth as u64);
-        }
-    }
-
     /// `n` messages fetched (single fetch: `n = 1`).
     #[inline]
     pub fn on_fetch(&self, n: u64) {

@@ -1,24 +1,21 @@
 //! Hot-path batching tests for [`MessageQueue`]:
 //!
 //! * admission corner cases under batching — an oversized message still
-//!   enters an *empty* queue whether the SPSC ring or the mutex queue is
-//!   the active buffer, and `post_all` keeps per-message Figure 6-9
+//!   enters an *empty* queue, and `post_all` keeps per-message Figure 6-9
 //!   drop-on-full semantics;
-//! * `take_batch` draining across the ring→mutex buffer boundary in FIFO
-//!   order (entries posted while SPSC was active always predate entries
-//!   posted after it deactivated);
+//! * `take_batch` count and byte budgets;
 //! * the non-blocking producer API (`post_nowait` / `post_all_nowait`)
 //!   and the edge-triggered space-listener wakeup that pool executors
 //!   build their parked-output flushing on;
-//! * a property test driving one random post/take schedule through an
-//!   SPSC-enabled queue and a mutex-only queue and requiring
-//!   observational equivalence: identical `PostResult`s, identical
-//!   delivery order, identical byte accounting and final stats.
+//! * a property test driving one random post/take schedule through the
+//!   queue and through a small reference model of the byte-budget FIFO,
+//!   requiring identical `PostResult`s, delivery order, byte accounting
+//!   and final stats.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mobigate_core::pool::{MessagePool, Payload, PayloadMode};
-use mobigate_core::queue::{Notifier, QueueConfig};
+use mobigate_core::queue::{Notifier, QueueConfig, QueueStats};
 use mobigate_core::{FetchResult, MessageQueue, PostResult};
 use mobigate_mcl::ast::ChannelKind;
 use mobigate_mime::{MimeMessage, MimeType};
@@ -42,38 +39,34 @@ fn payload(pool: &MessagePool, n: usize, tag: u8) -> Payload {
     )
 }
 
-fn small_queue(spsc: bool) -> QueueConfig {
+fn small_queue() -> QueueConfig {
     QueueConfig {
         capacity_bytes: 256,
         full_wait: Duration::from_millis(5),
-        spsc,
         ..Default::default()
     }
 }
 
 #[test]
-fn oversized_message_admitted_when_empty_spsc_and_mutex() {
-    for spsc in [true, false] {
-        let (q, pool) = setup(small_queue(spsc));
-        q.attach_source();
-        q.attach_sink();
-        assert_eq!(q.spsc_active(), spsc, "spsc={spsc}");
-        // 4 KiB into a 256-byte queue: empty buffer admits it.
-        assert_eq!(q.post(payload(&pool, 4096, 1)), PostResult::Posted);
-        assert_eq!(q.len(), 1);
-        // A second oversized message finds a non-empty queue and must
-        // wait out `T`, then drop — on both buffer implementations.
-        assert_eq!(q.post(payload(&pool, 4096, 2)), PostResult::Dropped);
-        assert_eq!(q.stats().dropped_full, 1, "spsc={spsc}");
-        let batch = q.take_batch(16, usize::MAX);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(
-            pool.resolve(batch.into_iter().next().unwrap())
-                .unwrap()
-                .body[0],
-            1
-        );
-    }
+fn oversized_message_admitted_only_when_empty() {
+    let (q, pool) = setup(small_queue());
+    q.attach_source();
+    q.attach_sink();
+    // 4 KiB into a 256-byte queue: empty buffer admits it.
+    assert_eq!(q.post(payload(&pool, 4096, 1)), PostResult::Posted);
+    assert_eq!(q.len(), 1);
+    // A second oversized message finds a non-empty queue and must wait
+    // out `T`, then drop.
+    assert_eq!(q.post(payload(&pool, 4096, 2)), PostResult::Dropped);
+    assert_eq!(q.stats().dropped_full, 1);
+    let batch = q.take_batch(16, usize::MAX);
+    assert_eq!(batch.len(), 1);
+    assert_eq!(
+        pool.resolve(batch.into_iter().next().unwrap())
+            .unwrap()
+            .body[0],
+        1
+    );
 }
 
 /// Buffered wire length of an `n`-byte-body message (body + MIME
@@ -86,45 +79,8 @@ fn unit_len(pool: &MessagePool, n: usize) -> usize {
 }
 
 #[test]
-fn take_batch_crosses_ring_to_mutex_boundary() {
-    let (q, pool) = setup(QueueConfig {
-        capacity_bytes: 4096,
-        full_wait: Duration::from_millis(5),
-        spsc: true,
-        ..Default::default()
-    });
-    q.attach_source();
-    q.attach_sink();
-    assert!(q.spsc_active());
-    // First three land in the ring via the lock-free path.
-    for tag in 0..3u8 {
-        assert_eq!(q.post(payload(&pool, 16, tag)), PostResult::Posted);
-    }
-    // A second producer deactivates SPSC mid-stream; the next posts go
-    // to the mutex queue while the ring still holds the older entries.
-    q.attach_source();
-    assert!(!q.spsc_active());
-    for tag in 3..6u8 {
-        assert_eq!(q.post(payload(&pool, 16, tag)), PostResult::Posted);
-    }
-    assert_eq!(q.len(), 6);
-    // One batched take spans both buffers and must preserve FIFO.
-    let tags: Vec<u8> = q
-        .take_batch(16, usize::MAX)
-        .into_iter()
-        .map(|p| pool.resolve(p).unwrap().body[0])
-        .collect();
-    assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-    assert!(q.is_empty());
-    assert_eq!(q.buffered_bytes(), 0);
-}
-
-#[test]
 fn take_batch_respects_count_and_byte_budgets() {
-    let (q, pool) = setup(QueueConfig {
-        spsc: false,
-        ..Default::default()
-    });
+    let (q, pool) = setup(QueueConfig::default());
     let unit = unit_len(&pool, 32);
     for tag in 0..8u8 {
         assert_eq!(q.post(payload(&pool, 32, tag)), PostResult::Posted);
@@ -148,7 +104,6 @@ fn post_all_admits_prefix_then_drops_on_full() {
         QueueConfig {
             capacity_bytes: 2 * unit,
             full_wait: Duration::from_millis(5),
-            spsc: false,
             ..Default::default()
         },
         pool.clone(),
@@ -174,7 +129,7 @@ fn post_all_admits_prefix_then_drops_on_full() {
 
 #[test]
 fn post_nowait_hands_payload_back_instead_of_waiting() {
-    let (q, pool) = setup(small_queue(false));
+    let (q, pool) = setup(small_queue());
     assert_eq!(
         q.post_nowait(payload(&pool, 200, 1)).unwrap(),
         PostResult::Posted
@@ -195,7 +150,6 @@ fn post_all_nowait_returns_fifo_leftovers() {
         QueueConfig {
             capacity_bytes: 2 * unit,
             full_wait: Duration::from_millis(5),
-            spsc: false,
             ..Default::default()
         },
         pool.clone(),
@@ -228,7 +182,7 @@ fn post_all_nowait_returns_fifo_leftovers() {
 
 #[test]
 fn space_listener_fires_on_pop_and_sink_close() {
-    let (q, pool) = setup(small_queue(false));
+    let (q, pool) = setup(small_queue());
     q.attach_source();
     q.attach_sink();
     let n = Arc::new(Notifier::new());
@@ -253,7 +207,7 @@ fn space_listener_fires_on_pop_and_sink_close() {
 }
 
 // ---------------------------------------------------------------------
-// SPSC ≡ mutex-queue observational equivalence.
+// The queue against a reference model of the byte-budget FIFO.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -265,11 +219,10 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Sizes 1..64 against a 200-byte budget keep the buffered count far
-    // below the ring's slot capacity, so the byte budget is the binding
-    // constraint on both implementations; the occasional 300-byte
-    // message exercises oversized-into-empty admission. Arms repeat to
-    // weight the uniform choice toward posts.
+    // Sizes 1..64 against a 200-byte budget make the byte budget the
+    // binding constraint; the occasional 300-byte message exercises
+    // oversized-into-empty admission. Arms repeat to weight the uniform
+    // choice toward posts.
     prop_oneof![
         (1usize..64).prop_map(Op::Post),
         (1usize..64).prop_map(Op::Post),
@@ -280,62 +233,91 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs `ops` against `q` with `full_wait == 0` (so a full queue drops
-/// immediately and the schedule stays deterministic) and returns the
-/// observable trace: per-op results and the drained message tags.
-fn run_ops(q: &MessageQueue, pool: &MessagePool, ops: &[Op]) -> (Vec<String>, Vec<u8>) {
-    let mut trace = Vec::new();
-    let mut drained = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Post(size) => {
-                let r = q.post(payload(pool, size, i as u8));
-                trace.push(format!("post:{r:?}"));
-            }
-            Op::Take(max_n, max_bytes) => {
-                let batch = q.take_batch(max_n, max_bytes);
-                trace.push(format!("take:{}", batch.len()));
-                for p in batch {
-                    drained.push(pool.resolve(p).unwrap().body[0]);
-                }
-            }
+/// Reference model of an async channel with `full_wait == 0`: a FIFO of
+/// `(tag, wire length)` under a byte budget. An empty queue admits any
+/// message; a non-empty one admits only within the budget and otherwise
+/// drops at once (Figure 6-9 with `T = 0`). `take` pops up to `max_n`
+/// entries, stopping before one that would push the batch past
+/// `max_bytes` — except the first, which is always taken.
+#[derive(Default)]
+struct FifoModel {
+    capacity: usize,
+    queue: std::collections::VecDeque<(u8, usize)>,
+    bytes: usize,
+    stats: QueueStats,
+}
+
+impl FifoModel {
+    fn post(&mut self, tag: u8, len: usize) -> PostResult {
+        if !self.queue.is_empty() && self.bytes + len > self.capacity {
+            self.stats.dropped_full += 1;
+            return PostResult::Dropped;
         }
+        self.queue.push_back((tag, len));
+        self.bytes += len;
+        self.stats.posted += 1;
+        PostResult::Posted
     }
-    (trace, drained)
+
+    fn take(&mut self, max_n: usize, max_bytes: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut taken_bytes = 0usize;
+        while out.len() < max_n {
+            let Some(&(tag, len)) = self.queue.front() else {
+                break;
+            };
+            if !out.is_empty() && taken_bytes + len > max_bytes {
+                break;
+            }
+            self.queue.pop_front();
+            self.bytes -= len;
+            taken_bytes += len;
+            out.push(tag);
+        }
+        self.stats.fetched += out.len() as u64;
+        out
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// The SPSC ring is a pure specialization: under a single-threaded
-    /// producer/consumer schedule its observable behavior — admission
-    /// decisions, delivery order, byte accounting, lifetime stats — is
-    /// identical to the mutex queue's.
+    /// Under a single-threaded producer/consumer schedule the queue's
+    /// observable behavior — admission decisions, delivery order, byte
+    /// accounting, lifetime stats — is exactly the reference model's.
     #[test]
-    fn spsc_ring_matches_mutex_queue(ops in prop::collection::vec(op_strategy(), 0..120)) {
-        let cfg = QueueConfig {
-            capacity_bytes: 200,
+    fn queue_matches_fifo_model(ops in prop::collection::vec(op_strategy(), 0..120)) {
+        let capacity = 200;
+        let (q, pool) = setup(QueueConfig {
+            capacity_bytes: capacity,
             full_wait: Duration::ZERO,
             kind: ChannelKind::Async,
             ..Default::default()
-        };
-        let (fast, fast_pool) = setup(QueueConfig { spsc: true, ..cfg.clone() });
-        let (slow, slow_pool) = setup(QueueConfig { spsc: false, ..cfg });
-        for q in [&fast, &slow] {
-            q.attach_source();
-            q.attach_sink();
+        });
+        q.attach_source();
+        q.attach_sink();
+        let mut model = FifoModel { capacity, ..Default::default() };
+
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Post(size) => {
+                    let p = payload(&pool, size, i as u8);
+                    let len = p.buffered_len(&pool);
+                    prop_assert_eq!(q.post(p), model.post(i as u8, len), "op {}", i);
+                }
+                Op::Take(max_n, max_bytes) => {
+                    let got: Vec<u8> = q
+                        .take_batch(max_n, max_bytes)
+                        .into_iter()
+                        .map(|p| pool.resolve(p).unwrap().body[0])
+                        .collect();
+                    prop_assert_eq!(got, model.take(max_n, max_bytes), "op {}", i);
+                }
+            }
+            prop_assert_eq!(q.buffered_bytes(), model.bytes, "op {}", i);
         }
-        prop_assert!(fast.spsc_active());
-        prop_assert!(!slow.spsc_active());
-
-        let (fast_trace, fast_msgs) = run_ops(&fast, &fast_pool, &ops);
-        let (slow_trace, slow_msgs) = run_ops(&slow, &slow_pool, &ops);
-
-        prop_assert_eq!(fast_trace, slow_trace);
-        prop_assert_eq!(fast_msgs, slow_msgs);
-        prop_assert_eq!(fast.len(), slow.len());
-        prop_assert_eq!(fast.buffered_bytes(), slow.buffered_bytes());
-        prop_assert_eq!(fast.stats(), slow.stats());
-        prop_assert_eq!(fast_pool.stats().resident, slow_pool.stats().resident);
+        prop_assert_eq!(q.len(), model.queue.len());
+        prop_assert_eq!(q.stats(), model.stats);
+        prop_assert_eq!(pool.stats().resident, model.queue.len());
     }
 }

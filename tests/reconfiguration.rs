@@ -57,6 +57,52 @@ fn no_message_lost_across_event_reconfiguration() {
     tb.shutdown();
 }
 
+/// Fig 7-7's splice: `comp` is declared in the main body (so its ports are
+/// exported to the stream boundary at deploy time) and inserted by the
+/// event. Once spliced, its output must feed only the link path — a stale
+/// `__egress` binding would copy every compressed text to an egress that
+/// nothing drains until the copies fill it and each emission waits out
+/// Figure 6-9's `T`.
+#[test]
+fn spliced_streamlet_output_is_not_copied_to_egress() {
+    let tb = Testbed::new(TestbedConfig::fast());
+    let stream = tb.deploy_with_defs(APP).unwrap();
+    stream.handle_event(&ContextEvent::broadcast(EventKind::LowBandwidth));
+
+    let n = 400usize;
+    for i in 0..n {
+        stream
+            .post_input(MimeMessage::text(format!(
+                "splice-{i} {}",
+                "pad ".repeat(50)
+            )))
+            .unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let mut got = 0usize;
+    while got < n && std::time::Instant::now() < deadline {
+        if let Some(m) = tb.client().recv(Duration::from_millis(200)) {
+            assert!(
+                m.body.starts_with(b"splice-"),
+                "client got the original text"
+            );
+            got += 1;
+        }
+    }
+    assert_eq!(got, n, "every text must reach the client promptly");
+    assert!(
+        stream.instance("comp").unwrap().stats().processed >= n as u64,
+        "every text went through the compressor"
+    );
+    assert!(
+        !stream.debug_depths().contains("egress:"),
+        "nothing may pile up on the stream egress: {}",
+        stream.debug_depths()
+    );
+    assert!(stream.take_output(Duration::from_millis(50)).is_none());
+    tb.shutdown();
+}
+
 #[test]
 fn eq_7_1_components_sum_below_total() {
     let tb = Testbed::new(TestbedConfig::fast());
