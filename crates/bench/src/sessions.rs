@@ -134,6 +134,23 @@ pub fn thread_count() -> usize {
         .unwrap_or(0)
 }
 
+/// [`thread_count`] once it has stopped changing, so threads of an earlier
+/// run that are still exiting do not count toward a baseline. Waits for
+/// the count to hold across a few polls, bounded like the teardown wait.
+fn settled_thread_count() -> usize {
+    const STABLE_POLLS: usize = 5;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut count = thread_count();
+    let mut stable = 0;
+    while stable < STABLE_POLLS && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = thread_count();
+        stable = if now == count { stable + 1 } else { 0 };
+        count = now;
+    }
+    count
+}
+
 /// Resident set size in KiB (Linux); 0 where /proc is unavailable.
 pub fn rss_kib() -> i64 {
     std::fs::read_to_string("/proc/self/statm")
@@ -178,7 +195,7 @@ pub fn run_sessions(cfg: SessionsConfig) -> SessionsOutcome {
         .session_manager(&chain_script(cfg.chain_len))
         .expect("session template");
 
-    let threads_baseline = thread_count();
+    let threads_baseline = settled_thread_count();
     let rss_before = rss_kib();
 
     // --- spawn ----------------------------------------------------------

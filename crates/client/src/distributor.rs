@@ -188,8 +188,15 @@ impl MobiGateClient {
 
     /// Stops the distributor threads.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Workers and `recv` check `stop` under the inbox and outbox
+        // mutexes: flip it under the first and pass through the second
+        // before notifying, so no wake falls between a check and a wait.
+        {
+            let _inbox = self.shared.inbox.lock();
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.inbox_cv.notify_all();
+        drop(self.shared.outbox.lock());
         self.shared.outbox_cv.notify_all();
         for h in self.workers.lock().drain(..) {
             let _ = h.join();

@@ -17,18 +17,31 @@
 //! * **Stealing.** A worker with an empty local queue drains the injector,
 //!   then steals the *oldest* task from a sibling's queue (front-steal:
 //!   FIFO order is preserved globally, so one hot session cannot starve
-//!   cold sessions parked behind it — they get stolen away instead).
+//!   cold sessions parked behind it — they get stolen away instead). The
+//!   scan starts at the last victim and covers every sibling, so a worker
+//!   can steal from the same sibling again and again.
 //! * **Quantum.** Each pump drives one task — one fused unit after the
 //!   PR 5 fusion pass — for at most [`super::PUMP_BATCH`] messages before
 //!   it is requeued behind its siblings, the same cooperative budget the
 //!   worker pool uses.
 //!
-//! Sleep/wake uses a Dekker-style handshake: a parking worker bumps the sleeper count (SeqCst RMW), re-checks every
-//! queue, and only then waits; a producer makes its enqueue visible, runs
-//! a SeqCst fence, and reads the sleeper count — so either the producer
-//! sees the sleeper and takes the sleep lock to notify, or the parker
-//! sees the enqueue and never sleeps. A timed wait backstops the
-//! handshake but is not needed for correctness.
+//! **Who is woken, and when.** A push wakes a sleeping worker only when
+//! it creates work the pusher will not run next: an injector push (from a
+//! foreign thread), or a push onto the pusher's own local queue when that
+//! queue already held a task (surplus). The first task on a worker's own
+//! empty queue wakes nobody — that worker pops it next, and a woken
+//! sibling would only find nothing and park again. If the worker instead
+//! stalls in a slow `process`, the task waits at most one
+//! [`PARK_TIMEOUT`]: every park is timed, and a worker that wakes from it
+//! steals the task.
+//!
+//! Sleep/wake uses a Dekker-style handshake: a parking worker bumps the
+//! sleeper count (SeqCst RMW), re-checks every queue, and only then
+//! waits; a producer makes its enqueue visible, runs a SeqCst fence, and
+//! reads the sleeper count — so either the producer sees the sleeper and
+//! takes the sleep lock to notify, or the parker sees the enqueue and
+//! never sleeps. The parker holds the sleep lock from its re-check into
+//! the wait, which is what the shim condvar's waiter count relies on.
 
 use super::{pump_and_reschedule, Executor, ExecutorStats, WorkerStats};
 use crate::streamlet::StreamletTask;
@@ -40,8 +53,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Safety-net bound on one park; the explicit handshake below makes the
-/// wake path lossless, so this only bounds recovery from the unforeseen.
+/// Bound on one park. The handshake below never loses a wake for surplus
+/// or injected work, so this bounds only how long a task pushed onto a
+/// worker's own empty queue waits when that worker stalls in `process`
+/// (see the module docs) — after that a sibling steals it.
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Process-wide reactor instance ids, so a worker of one reactor never
@@ -76,10 +91,12 @@ impl LocalQueue {
         }
     }
 
-    fn push(&self, task: Arc<StreamletTask>) {
+    /// Appends `task` and returns the queue's new length.
+    fn push(&self, task: Arc<StreamletTask>) -> usize {
         let mut d = self.deque.lock();
         d.push_back(task);
         self.len.store(d.len(), Ordering::Release);
+        d.len()
     }
 
     /// Pops the oldest task. Used both by the owning worker and by thieves
@@ -115,16 +132,26 @@ impl ReactorState {
             return;
         }
         match CURRENT_WORKER.with(Cell::get) {
-            Some((rid, idx)) if rid == self.id => self.locals[idx].push(task),
+            Some((rid, idx)) if rid == self.id => {
+                if self.locals[idx].push(task) == 1 {
+                    // The only task on this worker's own queue: the worker
+                    // pops it next, cache-warm, so a woken sibling would
+                    // find nothing. Should the worker stall in `process`
+                    // instead, a sibling's timed park (`PARK_TIMEOUT`)
+                    // steals the task.
+                    return;
+                }
+            }
             _ => {
                 let mut inj = self.injector.lock();
                 inj.push_back(task);
                 self.injector_len.store(inj.len(), Ordering::Release);
             }
         }
-        // Dekker producer side: enqueue first, fence, then read the
-        // sleeper count. Taking the sleep lock before notifying closes
-        // the register-to-wait gap on the parker side.
+        // Surplus work (or an injector push): wake a sleeper. Dekker
+        // producer side: enqueue first, fence, then read the sleeper
+        // count. Taking the sleep lock before notifying closes the
+        // register-to-wait gap on the parker side.
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::Relaxed) > 0 {
             let _guard = self.sleep.lock();
@@ -133,7 +160,8 @@ impl ReactorState {
     }
 
     /// Own local queue, then the injector, then steal the oldest task
-    /// from a sibling (rotating the starting victim to spread pressure).
+    /// from a sibling. The scan starts at the last victim (`rr`) and covers
+    /// every sibling, so a worker keeps stealing from whoever holds work.
     fn next_task(&self, idx: usize, rr: &mut usize) -> Option<Arc<StreamletTask>> {
         if let Some(task) = self.locals[idx].pop_front() {
             return Some(task);
@@ -146,7 +174,7 @@ impl ReactorState {
             }
         }
         let n = self.locals.len();
-        for off in 1..n {
+        for off in 0..n {
             let victim = (*rr + off) % n;
             if victim == idx {
                 continue;
@@ -294,5 +322,194 @@ impl Executor for Reactor {
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use crate::error::CoreError;
+    use crate::pool::{MessagePool, PayloadMode};
+    use crate::queue::{FetchResult, MessageQueue, PostResult, QueueConfig};
+    use crate::streamlet::{Emitter, RouteOpts, StreamletCtx, StreamletHandle, StreamletLogic};
+    use mobigate_mime::MimeMessage;
+    use std::time::Instant;
+
+    /// Copies every input to each of its `fanout` output ports.
+    struct Spray {
+        fanout: usize,
+    }
+
+    impl StreamletLogic for Spray {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            for i in 0..self.fanout {
+                ctx.emit(&format!("po{i}"), msg.clone());
+            }
+            Ok(())
+        }
+    }
+
+    /// Forwards its input after sleeping for as many milliseconds as the
+    /// body says, and prefixes it with the name of the thread that ran it.
+    struct Nap;
+
+    impl StreamletLogic for Nap {
+        fn process(&mut self, msg: MimeMessage, ctx: &mut StreamletCtx) -> Result<(), CoreError> {
+            let body = String::from_utf8_lossy(&msg.body).into_owned();
+            let ms = body.parse().unwrap_or(0);
+            std::thread::sleep(Duration::from_millis(ms));
+            let thread = std::thread::current();
+            let mut out = msg.clone();
+            out.set_body(format!("{}:{body}", thread.name().unwrap_or("?")).into_bytes());
+            ctx.emit("po", out);
+            Ok(())
+        }
+    }
+
+    fn queue(name: &str, pool: &Arc<MessagePool>) -> Arc<MessageQueue> {
+        MessageQueue::new(
+            QueueConfig {
+                name: name.into(),
+                ..Default::default()
+            },
+            pool.clone(),
+        )
+    }
+
+    fn handle(
+        name: &str,
+        logic: Box<dyn StreamletLogic>,
+        pool: &Arc<MessagePool>,
+        executor: &Arc<Reactor>,
+    ) -> Arc<StreamletHandle> {
+        StreamletHandle::with_executor(
+            name,
+            name,
+            false,
+            logic,
+            pool.clone(),
+            PayloadMode::Reference,
+            None,
+            RouteOpts::default(),
+            executor.clone(),
+        )
+    }
+
+    fn post(pool: &MessagePool, q: &MessageQueue, body: &str) {
+        let msg = MimeMessage::text(body);
+        assert_eq!(
+            q.post(pool.wrap(msg, PayloadMode::Reference, 1)),
+            PostResult::Posted
+        );
+    }
+
+    fn fetch(pool: &MessagePool, q: &MessageQueue, timeout: Duration) -> Option<String> {
+        match q.fetch(timeout) {
+            FetchResult::Msg(p) => {
+                Some(String::from_utf8_lossy(&pool.resolve(p)?.body).into_owned())
+            }
+            _ => None,
+        }
+    }
+
+    /// The steal scan must come back to the last victim: on two workers
+    /// that victim is the only sibling there is. A sprayer fans every
+    /// input out to four slow consumers; their wakes land on the
+    /// sprayer's worker as surplus, and the other worker must keep
+    /// stealing them, round after round.
+    #[test]
+    fn a_worker_steals_from_the_same_sibling_repeatedly() {
+        const FANOUT: usize = 4;
+        const ROUNDS: usize = 12;
+        let executor = Reactor::new(2);
+        let pool = Arc::new(MessagePool::new());
+        let input = queue("in", &pool);
+        let sink = queue("sink", &pool);
+        let spray = handle(
+            "spray",
+            Box::new(Spray { fanout: FANOUT }),
+            &pool,
+            &executor,
+        );
+        spray.attach_in("pi", &input);
+        let naps: Vec<_> = (0..FANOUT)
+            .map(|i| {
+                let q = queue(&format!("c{i}"), &pool);
+                spray.attach_out(&format!("po{i}"), &q);
+                let h = handle(&format!("nap{i}"), Box::new(Nap), &pool, &executor);
+                h.attach_in("pi", &q);
+                h.attach_out("po", &sink);
+                h.start().unwrap();
+                h
+            })
+            .collect();
+        spray.start().unwrap();
+
+        for _ in 0..ROUNDS {
+            post(&pool, &input, "2");
+            for _ in 0..FANOUT {
+                fetch(&pool, &sink, Duration::from_secs(5)).expect("round output");
+            }
+        }
+        let stats = executor.stats().expect("reactor keeps stats");
+        spray.end();
+        for h in &naps {
+            h.end();
+        }
+        executor.shutdown();
+
+        let most = stats.workers.iter().map(|w| w.steals).max().unwrap_or(0);
+        assert!(
+            most >= 2,
+            "no worker stole more than once from its only sibling: {stats:?}"
+        );
+    }
+
+    /// The wake a worker does not send: a task pushed onto the waker's own
+    /// empty queue wakes no sibling, so if the waker then stalls in a slow
+    /// `process`, the task waits for a sibling's timed park to run out —
+    /// at most one `PARK_TIMEOUT` — and is stolen, not left behind the
+    /// stall.
+    #[test]
+    fn a_task_behind_a_stalled_waker_is_stolen_within_the_park_timeout() {
+        let stall = PARK_TIMEOUT * 10;
+        let executor = Reactor::new(2);
+        let pool = Arc::new(MessagePool::new());
+        let (input, mid, out) = (queue("in", &pool), queue("mid", &pool), queue("out", &pool));
+        let waker = handle("waker", Box::new(Nap), &pool, &executor);
+        waker.attach_in("pi", &input);
+        waker.attach_out("po", &mid);
+        let downstream = handle("downstream", Box::new(Nap), &pool, &executor);
+        downstream.attach_in("pi", &mid);
+        downstream.attach_out("po", &out);
+        downstream.start().unwrap();
+        // Both inputs are queued before the waker starts, so one pump
+        // forwards the first (waking `downstream` onto its own queue) and
+        // then stalls in the second.
+        post(&pool, &input, "0");
+        post(&pool, &input, &stall.as_millis().to_string());
+        // Let both workers go idle and park first.
+        std::thread::sleep(PARK_TIMEOUT / 2);
+        let t0 = Instant::now();
+        waker.start().unwrap();
+
+        let got = fetch(&pool, &out, stall).expect("downstream ran during the stall");
+        let waited = t0.elapsed();
+        // `downstream`'s thread, then `waker`'s, then the original body.
+        let threads: Vec<&str> = got.split(':').collect();
+        // Scheduling slack on a loaded host on top of the one timed park.
+        assert!(
+            waited < PARK_TIMEOUT * 3,
+            "downstream waited {waited:?} behind a stalled worker (park timeout {PARK_TIMEOUT:?})"
+        );
+        assert_ne!(threads[0], threads[1], "the sibling ran it: {got}");
+
+        // The stalled message still arrives once the stall ends.
+        fetch(&pool, &out, stall * 2).expect("stalled message delivered");
+        waker.end();
+        downstream.end();
+        executor.shutdown();
     }
 }

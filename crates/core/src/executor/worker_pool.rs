@@ -112,7 +112,13 @@ impl Executor for WorkerPool {
     }
 
     fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::Release);
+        // Workers check `stop` under the run-queue lock before an untimed
+        // wait: flip it under that lock so the notify cannot fall between
+        // a worker's check and its wait.
+        {
+            let _queue = self.state.run_queue.lock();
+            self.state.stop.store(true, Ordering::Release);
+        }
         self.state.cv.notify_all();
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();

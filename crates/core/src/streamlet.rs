@@ -1695,6 +1695,11 @@ impl StreamletTask {
         // is in transit.
         let step = match outcome {
             Ok((result, (outs, spare))) => {
+                // `process` returned: the replay handle is dead weight from
+                // here on. Dropping it before routing lets a message the
+                // hop delivers return its buffers to the pool as soon as
+                // the consumer is done, not after this hop's next post.
+                drop(replay);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
                 match result {
@@ -1766,6 +1771,9 @@ impl StreamletTask {
         // messages.
         let step = match outcome {
             Ok((result, (outs, spare))) => {
+                // As in `process_one`: no replay once `process_batch`
+                // returned, so drop the handles before routing.
+                drop(replays);
                 scratch.outputs = outs;
                 scratch.spare_strings = spare;
                 match result {

@@ -468,7 +468,13 @@ impl Supervisor {
 
     /// Stops the worker thread. Idempotent; also run on drop.
     pub fn shutdown(&self) {
-        self.work.stop.store(true, Ordering::Release);
+        // The worker checks `stop` under the jobs lock before an untimed
+        // wait, so the flag flips under that lock too (the shim condvar
+        // skips notifies nobody has registered for yet).
+        {
+            let _jobs = self.work.jobs.lock();
+            self.work.stop.store(true, Ordering::Release);
+        }
         self.work.cv.notify_all();
         if let Some(h) = self.worker.lock().take() {
             // The worker loop upgrades its Weak while handling a job, so the

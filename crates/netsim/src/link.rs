@@ -191,8 +191,15 @@ impl WirelessLink {
 
     /// Stops the worker; undelivered frames are discarded.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Both waiters check `stop` under their own mutex: flip the flag
+        // under each in turn so neither notify can fall between a
+        // waiter's check and its wait.
+        {
+            let _q = self.shared.queue.lock();
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.queue_cv.notify_all();
+        drop(self.shared.delivered.lock());
         self.shared.delivered_cv.notify_all();
         if let Some(h) = self.worker.take() {
             let _ = h.join();
